@@ -30,7 +30,8 @@ int main() {
   }
   std::cout << "...\n\n";
 
-  const auto rows = core::figure1_rows(20);
+  core::ExperimentRunner serial;  // one thread, unsharded
+  const auto rows = core::figure1_rows(20, serial);
   TextTable table({"phase i", "prefix", "{p1} vs {q}", "{p2} vs {q}",
                    "{p1,p2} vs {q}"});
   for (const auto& row : rows) {

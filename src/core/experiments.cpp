@@ -59,11 +59,6 @@ std::vector<Figure1Row> figure1_rows(std::int64_t max_phase,
       all.begin() + static_cast<std::ptrdiff_t>(end));
 }
 
-std::vector<Figure1Row> figure1_rows(std::int64_t max_phase) {
-  ExperimentRunner serial;
-  return figure1_rows(max_phase, serial);
-}
-
 PairScanResult ranked_pair_scan(const PairScanConfig& cfg,
                                 ExperimentRunner& runner) {
   SETLIB_EXPECTS(2 <= cfg.n && cfg.n <= kMaxProcs);
@@ -255,11 +250,6 @@ std::vector<MatrixCell> thm27_matrix(
     cells.push_back(cell);
   }
   return cells;
-}
-
-std::vector<MatrixCell> thm27_matrix(const MatrixConfig& cfg) {
-  ExperimentRunner serial;
-  return thm27_matrix(cfg, serial);
 }
 
 std::string render_matrix(const AgreementSpec& spec,

@@ -34,8 +34,6 @@ struct Figure1Row {
 /// thread-count independent; each row carries its own phase label).
 std::vector<Figure1Row> figure1_rows(std::int64_t max_phase,
                                      ExperimentRunner& runner);
-/// Serial, unsharded convenience overload.
-std::vector<Figure1Row> figure1_rows(std::int64_t max_phase);
 
 // ---------------------------------------------------------------------
 // EXP-SCAN: large-n system membership via the batched pair scan. One
@@ -147,8 +145,6 @@ struct MatrixConfig {
 std::vector<MatrixCell> thm27_matrix(
     const MatrixConfig& cfg, ExperimentRunner& runner,
     const std::vector<ReportSink*>& extra_sinks = {});
-/// Serial, unsharded convenience overload.
-std::vector<MatrixCell> thm27_matrix(const MatrixConfig& cfg);
 
 /// Render any matrix as the frontier table the bench prints.
 std::string render_matrix(const AgreementSpec& spec,

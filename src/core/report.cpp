@@ -14,21 +14,14 @@
 namespace setlib::core {
 
 std::string ShardSpec::to_string() const {
-  if (leased) {
-    return std::to_string(lo) + ".." + std::to_string(hi) + "/" +
-           std::to_string(span);
-  }
-  return std::to_string(k) + "/" + std::to_string(n);
+  return std::to_string(lo) + ".." + std::to_string(hi) + "/" +
+         std::to_string(span);
 }
 
 std::pair<std::size_t, std::size_t> ShardSpec::range(
     std::size_t total) const {
-  if (leased) {
-    SETLIB_EXPECTS(span >= 1 && lo <= hi && hi <= span);
-    return {total * lo / span, total * hi / span};
-  }
-  SETLIB_EXPECTS(n >= 1 && k < n);
-  return {total * k / n, total * (k + 1) / n};
+  SETLIB_EXPECTS(span >= 1 && lo <= hi && hi <= span);
+  return {total * lo / span, total * hi / span};
 }
 
 void ReportSink::begin_section(const std::string&, std::size_t,
@@ -301,37 +294,40 @@ std::string JsonSink::render() const {
       // (global index / repeat_factor), each group carrying the same
       // dispersion keys as the pooled section scalars. Rows within a
       // shard are contiguous ascending indices, so one linear pass
-      // groups them.
+      // groups them. At repeat_factor 1 a point is one row, and the
+      // array would only restate the rows.
       os << ", \"repeat_factor\": " << sec.repeat_factor;
-      os << ", \"point_stats\": [";
-      std::size_t r = 0;
-      bool first_group = true;
-      while (r < sec.rows.size()) {
-        PointGroup group;
-        group.point = static_cast<std::int64_t>(sec.rows[r].index) /
-                      sec.repeat_factor;
-        while (r < sec.rows.size() &&
-               static_cast<std::int64_t>(sec.rows[r].index) /
-                       sec.repeat_factor ==
-                   group.point) {
-          const CellRow& row = sec.rows[r];
-          ++group.cells;
-          if (row.success) ++group.successes;
-          group.steps.add(static_cast<double>(row.steps));
-          group.witness.add(static_cast<double>(row.witness_bound));
-          ++r;
+      if (sec.repeat_factor > 1) {
+        os << ", \"point_stats\": [";
+        std::size_t r = 0;
+        bool first_group = true;
+        while (r < sec.rows.size()) {
+          PointGroup group;
+          group.point = static_cast<std::int64_t>(sec.rows[r].index) /
+                        sec.repeat_factor;
+          while (r < sec.rows.size() &&
+                 static_cast<std::int64_t>(sec.rows[r].index) /
+                         sec.repeat_factor ==
+                     group.point) {
+            const CellRow& row = sec.rows[r];
+            ++group.cells;
+            if (row.success) ++group.successes;
+            group.steps.add(static_cast<double>(row.steps));
+            group.witness.add(static_cast<double>(row.witness_bound));
+            ++r;
+          }
+          os << (first_group ? "" : ", ") << "{\"point\": "
+             << group.point << ", \"cells\": " << group.cells;
+          for (const auto& [key, value] :
+               dispersion_stats(group.steps, group.witness,
+                                group.successes, group.cells)) {
+            os << ", " << json_quote(key) << ": " << json_number(value);
+          }
+          os << "}";
+          first_group = false;
         }
-        os << (first_group ? "" : ", ") << "{\"point\": " << group.point
-           << ", \"cells\": " << group.cells;
-        for (const auto& [key, value] :
-             dispersion_stats(group.steps, group.witness,
-                              group.successes, group.cells)) {
-          os << ", " << json_quote(key) << ": " << json_number(value);
-        }
-        os << "}";
-        first_group = false;
+        os << "]";
       }
-      os << "]";
       os << ", \"rows\": [";
       for (std::size_t row_idx = 0; row_idx < sec.rows.size();
            ++row_idx) {
@@ -459,9 +455,9 @@ bool is_section_frame_key(const std::string& key) {
          key == "runs_per_sec" || key == "same_keys" || key == "rows";
 }
 
-/// Strict digits-only parse for the "k/n" halves of a shard field —
+/// Strict digits-only parse for the numbers of a lease shard field —
 /// std::stoul would accept trailing garbage, signs, and whitespace,
-/// defeating the duplicate/missing-shard detection.
+/// defeating the gap/overlap detection.
 bool parse_shard_index(const std::string& text, std::size_t* out) {
   if (text.empty() || text.size() > 9) return false;
   std::size_t value = 0;
@@ -616,31 +612,35 @@ JsonValue merge_section(const std::vector<const JsonValue*>& parts) {
     out.set("repeat_factor", repeat_factor);
     const std::int64_t rf = std::max<std::int64_t>(
         1, repeat_factor.as_int());
-    std::vector<JsonValue> points;
-    std::size_t r = 0;
-    while (r < rows.size()) {
-      PointGroup group;
-      group.point = rows[r].at("index").as_int() / rf;
-      while (r < rows.size() &&
-             rows[r].at("index").as_int() / rf == group.point) {
-        const JsonValue& row = rows[r];
-        ++group.cells;
-        if (row.at("success").as_int() != 0) ++group.successes;
-        group.steps.add(row.at("steps").as_double());
-        group.witness.add(row.at("witness_bound").as_double());
-        ++r;
+    // Same omission rule as JsonSink::render: one row per point at
+    // repeat_factor 1 leaves nothing for point_stats to add.
+    if (rf > 1) {
+      std::vector<JsonValue> points;
+      std::size_t r = 0;
+      while (r < rows.size()) {
+        PointGroup group;
+        group.point = rows[r].at("index").as_int() / rf;
+        while (r < rows.size() &&
+               rows[r].at("index").as_int() / rf == group.point) {
+          const JsonValue& row = rows[r];
+          ++group.cells;
+          if (row.at("success").as_int() != 0) ++group.successes;
+          group.steps.add(row.at("steps").as_double());
+          group.witness.add(row.at("witness_bound").as_double());
+          ++r;
+        }
+        JsonValue obj = JsonValue::object();
+        obj.set("point", JsonValue::of(group.point));
+        obj.set("cells", JsonValue::of(group.cells));
+        for (const auto& [key, value] :
+             dispersion_stats(group.steps, group.witness, group.successes,
+                              group.cells)) {
+          obj.set(key, JsonValue::of(value));
+        }
+        points.push_back(std::move(obj));
       }
-      JsonValue obj = JsonValue::object();
-      obj.set("point", JsonValue::of(group.point));
-      obj.set("cells", JsonValue::of(group.cells));
-      for (const auto& [key, value] :
-           dispersion_stats(group.steps, group.witness, group.successes,
-                            group.cells)) {
-        obj.set(key, JsonValue::of(value));
-      }
-      points.push_back(std::move(obj));
+      out.set("point_stats", JsonValue::array(std::move(points)));
     }
-    out.set("point_stats", JsonValue::array(std::move(points)));
     out.set("cell_seconds_p50", JsonValue::null());
     out.set("cell_seconds_p90", JsonValue::null());
     out.set("cell_seconds_p99", JsonValue::null());
@@ -701,7 +701,7 @@ JsonValue merge_section(const std::vector<const JsonValue*>& parts) {
   return out;
 }
 
-/// Parses the "LO..HI/SPAN" shard field of a lease document.
+/// Parses the "LO..HI/SPAN" shard field of a document.
 bool parse_lease_field(const std::string& text, std::size_t* lo,
                        std::size_t* hi, std::size_t* span) {
   const std::size_t dots = text.find("..");
@@ -718,99 +718,66 @@ JsonValue merge_shard_docs_impl(const std::vector<JsonValue>& docs) {
   if (docs.empty()) {
     throw MergeError("merge_shard_docs: no shard documents given");
   }
-  const std::size_t n = docs.size();
-  std::vector<const JsonValue*> by_k;
-  // Static shards carry "K/N"; lease documents (the elastic work
-  // queue's workers) carry "LO..HI/SPAN". A merge is one mode or the
-  // other — the first document decides, stragglers of the other kind
-  // fail their parse below.
-  if (docs[0].at("shard").as_string().find("..") != std::string::npos) {
-    // Lease mode: any document count is legal, in any completion
-    // order and with any split history, as long as the ranges tile
-    // the virtual span exactly once — a gap means a lost lease, an
-    // overlap a double-counted one, and both must fail loudly.
-    struct LeasePart {
-      const JsonValue* doc;
-      std::size_t lo, hi, span;
-    };
-    std::vector<LeasePart> parts;
-    parts.reserve(n);
-    std::size_t span = 0;
-    for (const JsonValue& doc : docs) {
-      const std::string& shard = doc.at("shard").as_string();
-      LeasePart part{&doc, 0, 0, 0};
-      if (!parse_lease_field(shard, &part.lo, &part.hi, &part.span)) {
-        throw MergeError("malformed lease shard field \"" + shard +
-                         "\"");
-      }
-      if (part.span < 1 || part.lo >= part.hi ||
-          part.hi > part.span) {
-        throw MergeError("lease shard \"" + shard +
-                         "\" violates 0 <= LO < HI <= SPAN");
-      }
-      if (span == 0) {
-        span = part.span;
-      } else if (part.span != span) {
-        throw MergeError("lease documents disagree on the span: " +
-                         std::to_string(span) + " vs " +
-                         std::to_string(part.span));
-      }
-      parts.push_back(part);
+  // Every document carries its lease as "LO..HI/SPAN" (a --shard=K/N
+  // worker's is K..K+1/N). Any document count is legal, in any
+  // completion order and with any split history, as long as the
+  // ranges tile the virtual span exactly once — a gap means a lost
+  // lease, an overlap a double-counted one, and both must fail loudly.
+  struct LeasePart {
+    const JsonValue* doc;
+    std::size_t lo, hi, span;
+  };
+  std::vector<LeasePart> parts;
+  parts.reserve(docs.size());
+  std::size_t span = 0;
+  for (const JsonValue& doc : docs) {
+    const std::string& shard = doc.at("shard").as_string();
+    LeasePart part{&doc, 0, 0, 0};
+    if (!parse_lease_field(shard, &part.lo, &part.hi, &part.span)) {
+      throw MergeError("malformed lease shard field \"" + shard + "\"");
     }
-    std::sort(parts.begin(), parts.end(),
-              [](const LeasePart& a, const LeasePart& b) {
-                return a.lo < b.lo;
-              });
-    std::size_t expect = 0;
-    for (const LeasePart& part : parts) {
-      if (part.lo > expect) {
-        throw MergeError("lease documents leave a gap: virtual cells " +
-                         std::to_string(expect) + ".." +
-                         std::to_string(part.lo) + " are uncovered");
-      }
-      if (part.lo < expect) {
-        throw MergeError("lease documents overlap at virtual cell " +
-                         std::to_string(part.lo));
-      }
-      expect = part.hi;
-      by_k.push_back(part.doc);
+    if (part.span < 1 || part.lo >= part.hi || part.hi > part.span) {
+      throw MergeError("lease shard \"" + shard +
+                       "\" violates 0 <= LO < HI <= SPAN");
     }
-    if (expect != span) {
+    if (span == 0) {
+      span = part.span;
+    } else if (part.span != span) {
+      throw MergeError("lease documents disagree on the span: " +
+                       std::to_string(span) + " vs " +
+                       std::to_string(part.span));
+    }
+    parts.push_back(part);
+  }
+  std::sort(parts.begin(), parts.end(),
+            [](const LeasePart& a, const LeasePart& b) {
+              return a.lo < b.lo;
+            });
+  std::vector<const JsonValue*> by_lo;
+  by_lo.reserve(parts.size());
+  std::size_t expect = 0;
+  for (const LeasePart& part : parts) {
+    if (part.lo > expect) {
       throw MergeError("lease documents leave a gap: virtual cells " +
                        std::to_string(expect) + ".." +
-                       std::to_string(span) + " are uncovered");
+                       std::to_string(part.lo) + " are uncovered");
     }
-  } else {
-    by_k.assign(n, nullptr);
-    for (const JsonValue& doc : docs) {
-      const std::string& shard = doc.at("shard").as_string();
-      const std::size_t slash = shard.find('/');
-      std::size_t k = 0;
-      std::size_t shard_n = 0;
-      if (slash == std::string::npos ||
-          !parse_shard_index(shard.substr(0, slash), &k) ||
-          !parse_shard_index(shard.substr(slash + 1), &shard_n)) {
-        throw MergeError("malformed shard field \"" + shard + "\"");
-      }
-      if (shard_n != n) {
-        throw MergeError("document claims shard " + shard + " but " +
-                         std::to_string(n) + " documents were given");
-      }
-      if (k >= n) {
-        throw MergeError("shard index out of range in \"" + shard +
-                         "\"");
-      }
-      if (by_k[k] != nullptr) {
-        throw MergeError("duplicate shard " + shard);
-      }
-      by_k[k] = &doc;
+    if (part.lo < expect) {
+      throw MergeError("lease documents overlap at virtual cell " +
+                       std::to_string(part.lo));
     }
-    // n documents, n distinct indices < n: every slot is filled.
+    expect = part.hi;
+    by_lo.push_back(part.doc);
+  }
+  if (expect != span) {
+    throw MergeError("lease documents leave a gap: virtual cells " +
+                     std::to_string(expect) + ".." +
+                     std::to_string(span) + " are uncovered");
   }
 
-  const JsonValue& first = *by_k[0];
+  const JsonValue& first = *by_lo[0];
   for (const char* key : {"bench", "threads", "repeat"}) {
-    for (const JsonValue* doc : by_k) {
+    for (const JsonValue* doc : by_lo) {
       if (!(doc->at(key) == first.at(key))) {
         throw MergeError(std::string("shard documents disagree on \"") +
                          key + "\"");
@@ -819,7 +786,7 @@ JsonValue merge_shard_docs_impl(const std::vector<JsonValue>& docs) {
   }
 
   const std::size_t section_count = first.at("sections").items().size();
-  for (const JsonValue* doc : by_k) {
+  for (const JsonValue* doc : by_lo) {
     if (doc->at("sections").items().size() != section_count) {
       throw MergeError("shard documents have different section counts");
     }
@@ -829,18 +796,18 @@ JsonValue merge_shard_docs_impl(const std::vector<JsonValue>& docs) {
   merged.set("bench", first.at("bench"));
   merged.set("threads", first.at("threads"));
   merged.set("repeat", first.at("repeat"));
-  merged.set("shard", JsonValue::of("0/1"));
+  merged.set("shard", JsonValue::of(ShardSpec{}.to_string()));
 
   std::vector<JsonValue> sections;
   std::size_t total_cells = 0;
   double total_wall = 0.0;
   for (std::size_t s = 0; s < section_count; ++s) {
-    std::vector<const JsonValue*> parts;
-    parts.reserve(n);
-    for (const JsonValue* doc : by_k) {
-      parts.push_back(&doc->at("sections").items()[s]);
+    std::vector<const JsonValue*> sections_at;
+    sections_at.reserve(by_lo.size());
+    for (const JsonValue* doc : by_lo) {
+      sections_at.push_back(&doc->at("sections").items()[s]);
     }
-    JsonValue section = merge_section(parts);
+    JsonValue section = merge_section(sections_at);
     total_cells += static_cast<std::size_t>(section.at("cells").as_int());
     total_wall += section.at("wall_seconds").as_double();
     sections.push_back(std::move(section));

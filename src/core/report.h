@@ -18,8 +18,8 @@
 //
 // Because cells stream in cell order within a shard, and shards are
 // contiguous slices of the flat index space, concatenating the sink
-// output of shards 0..n-1 reproduces the unsharded output exactly
-// (modulo wall-clock fields).
+// output of shards in lease order reproduces the unsharded output
+// exactly (modulo wall-clock fields).
 #ifndef SETLIB_CORE_REPORT_H
 #define SETLIB_CORE_REPORT_H
 
@@ -36,38 +36,29 @@
 
 namespace setlib::core {
 
-/// A half-open shard {k, n} over a flat cell index space: shard k of n
-/// covers [total*k/n, total*(k+1)/n). Shards are contiguous and in
-/// index order, so the union of shards 0..n-1 is bit-identical to the
-/// unsharded run.
-///
-/// Lease mode (`--cells=LO..HI[/SPAN]`, the elastic work queue's
-/// worker flag) generalizes the fraction: instead of the k-th of n
-/// equal slices, the shard covers the [lo, hi) sub-range of a
+/// A lease over a flat cell index space: the [lo, hi) sub-range of a
 /// span-wide virtual cell space, i.e. [total*lo/span, total*hi/span)
-/// of every real space of size total. `--shard=K/N` is exactly
-/// lease {lo=K, hi=K+1, span=N}; the separate encoding exists so a
-/// work queue can carve, split, and re-lease ranges of the virtual
-/// space without knowing any section's cell count — ranges that tile
-/// [0, span) tile every section, whatever its size (floor arithmetic
-/// maps shared boundaries to shared boundaries).
+/// of every real space of size total. Leases are contiguous and in
+/// index order, so the union of leases tiling [0, span) is
+/// bit-identical to the unsharded run. `--shard=K/N` is shorthand for
+/// lease {lo=K, hi=K+1, span=N}; the elastic work queue's workers get
+/// `--cells=LO..HI[/SPAN]`. A work queue can carve, split, and
+/// re-lease ranges of the virtual space without knowing any section's
+/// cell count — ranges that tile [0, span) tile every section,
+/// whatever its size (floor arithmetic maps shared boundaries to
+/// shared boundaries). The default is the whole span: the unsharded
+/// run.
 struct ShardSpec {
-  /// Default virtual-space width for lease mode; wide enough that
-  /// splitting halves stays meaningful far past any real worker count.
+  /// Default virtual-space width; wide enough that splitting halves
+  /// stays meaningful far past any real worker count.
   static constexpr std::size_t kLeaseSpan = std::size_t{1} << 20;
 
-  std::size_t k = 0;  // shard index
-  std::size_t n = 1;  // shard count
-  // Lease mode (used instead of k/n when `leased` is set).
-  bool leased = false;
   std::size_t lo = 0;
-  std::size_t hi = 0;
+  std::size_t hi = kLeaseSpan;
   std::size_t span = kLeaseSpan;
 
-  bool whole() const noexcept {
-    return leased ? (lo == 0 && hi == span) : n == 1;
-  }
-  std::string to_string() const;  // "k/n" or "lo..hi/span"
+  bool whole() const noexcept { return lo == 0 && hi == span; }
+  std::string to_string() const;  // "lo..hi/span"
   /// This shard's slice of [0, total), as {begin, end}.
   std::pair<std::size_t, std::size_t> range(std::size_t total) const;
 };
@@ -190,9 +181,11 @@ enum class MergeRule {
 /// ci_success_low/high — Student-t for means, normal approximation
 /// for the success proportion) whether or not the shard ran any cells
 /// (null when empty), so shard documents are schema-identical. The
-/// scalars pool the whole section; the "point_stats" array repeats
-/// the same keys per grid point (rows grouped by global index /
-/// "repeat_factor"), i.e. per point across its --repeat seeds. All of
+/// scalars pool the whole section; when "repeat_factor" is 2 or more,
+/// the "point_stats" array repeats the same keys per grid point (rows
+/// grouped by global index / "repeat_factor"), i.e. per point across
+/// its --repeat seeds. At repeat_factor 1 each point is one row, so
+/// the array would only restate the rows and is omitted. All of
 /// them are pure functions of the rows; merge_shard_docs recomputes
 /// them from the union rows with the same arithmetic
 /// (dispersion_stats in report.cpp is the single shared
@@ -273,10 +266,10 @@ class JsonSink : public ReportSink {
 
 // ---------------------------------------------------------------------
 // Shard-document merging: the recombination rule behind the
-// multi-process orchestrator. Given the N parsed --shard=K/N --json
-// documents of one bench — or any set of --cells=LO..HI lease
-// documents whose ranges tile the virtual span exactly once (any
-// count, any split history, any completion order) — merge_shard_docs
+// multi-process orchestrator. Given any set of parsed --json lease
+// documents of one bench (--cells=LO..HI, or its --shard=K/N
+// shorthand) whose ranges tile the virtual span exactly once (any
+// count, any split history, any completion order), merge_shard_docs
 // produces the document the unsharded run would have written,
 // bit-identical modulo timing keys:
 //
@@ -291,8 +284,8 @@ class JsonSink : public ReportSink {
 //     sums and runs_per_sec is recomputed, every other timing fact is
 //     dropped — they are excluded from determinism diffs by rule.
 //
-// Inconsistent inputs (missing/duplicate shards, diverging configs,
-// mismatched section sequences) throw MergeError rather than
+// Inconsistent inputs (gaps, overlaps, span mismatches, diverging
+// configs, mismatched section sequences) throw MergeError rather than
 // producing a silently incomplete document.
 
 class MergeError : public std::runtime_error {
@@ -315,8 +308,8 @@ JsonValue strip_timing_keys(const JsonValue& value);
 /// two documents compare bytewise regardless of emission order.
 std::string canonical_json(const JsonValue& value);
 
-/// Merges the N shard documents of one bench run (any input order)
-/// into the unsharded document. Throws MergeError on inconsistency.
+/// Merges the lease documents of one bench run (any input order) into
+/// the unsharded document. Throws MergeError on inconsistency.
 JsonValue merge_shard_docs(const std::vector<JsonValue>& docs);
 
 }  // namespace setlib::core

@@ -98,8 +98,10 @@ bool consume_shard_flag(const std::string& arg, ShardSpec* out) {
     throw ContractViolation(prefix + ": shard '" + value +
                             "' violates 0 <= K < N");
   }
-  out->k = static_cast<std::size_t>(k);
-  out->n = static_cast<std::size_t>(n);
+  // Shorthand for the lease {K, K+1, N}: same slice, same arithmetic.
+  *out = ShardSpec{static_cast<std::size_t>(k),
+                   static_cast<std::size_t>(k) + 1,
+                   static_cast<std::size_t>(n)};
   return true;
 }
 
@@ -127,10 +129,9 @@ bool consume_cells_flag(const std::string& arg, ShardSpec* out) {
     throw ContractViolation(prefix + ": lease '" + value +
                             "' violates 0 <= LO <= HI <= SPAN");
   }
-  out->leased = true;
-  out->lo = static_cast<std::size_t>(lo);
-  out->hi = static_cast<std::size_t>(hi);
-  out->span = static_cast<std::size_t>(span);
+  *out = ShardSpec{static_cast<std::size_t>(lo),
+                   static_cast<std::size_t>(hi),
+                   static_cast<std::size_t>(span)};
   return true;
 }
 
@@ -185,8 +186,8 @@ RunnerOptions parse_runner_options(int* argc, char** argv,
   }
   if (shard_given && cells_given) {
     throw ContractViolation(
-        "--shard= and --cells= are mutually exclusive: a worker is "
-        "either a static shard or a leased range, not both");
+        "--shard= and --cells= are mutually exclusive: both name the "
+        "worker's one lease");
   }
   *argc = kept;
   return options;

@@ -7,12 +7,7 @@
 namespace setlib::core {
 
 ShardSpec Lease::shard(std::size_t span) const {
-  ShardSpec spec;
-  spec.leased = true;
-  spec.lo = lo;
-  spec.hi = hi;
-  spec.span = span;
-  return spec;
+  return ShardSpec{lo, hi, span};
 }
 
 const char* lease_event_kind_name(LeaseEvent::Kind kind) noexcept {

@@ -57,9 +57,14 @@ __attribute__((target("avx2"))) bool avx2_window_walk(
     const std::uint64_t* p, const std::uint64_t* q, std::int64_t words,
     std::int64_t prune_q, WalkState* state) {
   // 4-word chunks: one vector test finds the no-P-boundary fast case,
-  // where the walk degenerates to a popcount sum (popcnt on the
-  // extracted words — the scalar popcount instruction is already one
-  // op per word; the win is skipping the per-word branch cascade).
+  // where the walk degenerates to a popcount sum. Both halves of the
+  // win matter: the chunk test skips the per-word branch cascade, and
+  // target("avx2") lets std::popcount compile to the popcnt
+  // instruction. The default (no -mpopcnt) build compiles the scalar
+  // kernel's and the analyzer's std::popcount to libgcc
+  // __popcountdi2 calls, and most of this kernel's end-to-end
+  // advantage over SETLIB_FORCE_SCALAR=1 comes from that, not from
+  // the vector test (ROADMAP item 4 records the census measurement).
   // The prune check runs per chunk: max_q is monotone, so the walk
   // aborts at chunk granularity iff the scalar walk aborts at word
   // granularity (see the prune contract in the header).

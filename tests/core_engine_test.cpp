@@ -100,7 +100,8 @@ TEST(EngineTest, ReportDecisionsShapeIsConsistent) {
 }
 
 TEST(ExperimentsTest, Figure1RowsMatchPaperClaims) {
-  const auto rows = figure1_rows(12);
+  ExperimentRunner serial;  // one thread, unsharded
+  const auto rows = figure1_rows(12, serial);
   ASSERT_EQ(rows.size(), 12u);
   for (const auto& row : rows) {
     EXPECT_EQ(row.bound_union, 2) << "phase " << row.phase;
@@ -149,7 +150,8 @@ TEST_P(MatrixSweep, FrontierMatchesEverywhere) {
   cfg.spec = {t, k, n};
   cfg.max_steps = 700'000;
   cfg.rotisserie_growth = 512;
-  const auto cells = thm27_matrix(cfg);
+  ExperimentRunner serial;  // one thread, unsharded
+  const auto cells = thm27_matrix(cfg, serial);
   EXPECT_EQ(cells.size(),
             static_cast<std::size_t>(n * (n + 1) / 2));
   for (const auto& cell : cells) {

@@ -1,8 +1,9 @@
 // The shard-document merge behind the multi-process orchestrator:
-// merging the N --shard=K/N JSON documents must reproduce the
-// unsharded document bit-identically modulo timing keys, for grid and
-// hand-fed sections alike; inconsistent inputs must throw MergeError,
-// never produce a silently incomplete document. Also pins the
+// merging lease documents that tile the virtual span (--cells=LO..HI,
+// or --shard=K/N as lease {K, K+1, N}) must reproduce the unsharded
+// document bit-identically modulo timing keys, for grid and hand-fed
+// sections alike; inconsistent inputs must throw MergeError, never
+// produce a silently incomplete document. Also pins the
 // JsonSink emission contract the merge depends on (escaping,
 // non-finite -> null, schema-consistent percentile keys).
 #include <gtest/gtest.h>
@@ -33,47 +34,26 @@ SweepGrid small_grid() {
   return grid;  // 6 cells
 }
 
-/// Renders the document a bench invoked with --shard=k/n would write:
-/// one grid section plus one hand-fed section with a summed and an
+/// Renders the document a bench worker with lease `shard` would write
+/// (ShardSpec{} is the unsharded run, {K, K+1, N} is --shard=K/N): one
+/// grid section plus one hand-fed section with a summed and an
 /// invariant annotation.
-JsonValue bench_doc(std::size_t k, std::size_t n) {
+JsonValue bench_doc(const ShardSpec& shard,
+                    const SweepGrid& grid = small_grid()) {
   RunnerOptions options;
   options.name = "merge_test";
   options.threads = 2;
-  options.shard = {k, n};
+  options.shard = shard;
   ExperimentRunner runner(options);
   JsonSink json = runner.json_sink();
 
-  runner.run(small_grid(), "grid_section", {&json});
-
-  const auto [begin, end] = runner.shard_range(10);
-  json.section("hand_fed", end - begin, 0.25,
-               {{"successes", static_cast<double>(end - begin)}});
-  json.annotate("mismatches", k == 0 ? 1.0 : 0.0);  // shard-local count
-  json.annotate("invariant_fact", 7.0, MergeRule::kSame);
-  return JsonValue::parse(json.render());
-}
-
-/// The same bench document for a --cells=LO..HI[/SPAN] lease worker.
-JsonValue bench_lease_doc(std::size_t lo, std::size_t hi,
-                          std::size_t span = ShardSpec::kLeaseSpan) {
-  RunnerOptions options;
-  options.name = "merge_test";
-  options.threads = 2;
-  options.shard.leased = true;
-  options.shard.lo = lo;
-  options.shard.hi = hi;
-  options.shard.span = span;
-  ExperimentRunner runner(options);
-  JsonSink json = runner.json_sink();
-
-  runner.run(small_grid(), "grid_section", {&json});
+  runner.run(grid, "grid_section", {&json});
 
   const auto [begin, end] = runner.shard_range(10);
   json.section("hand_fed", end - begin, 0.25,
                {{"successes", static_cast<double>(end - begin)}});
   json.annotate("mismatches",
-                lo == 0 ? 1.0 : 0.0);  // lease-local count
+                shard.lo == 0 ? 1.0 : 0.0);  // shard-local count
   json.annotate("invariant_fact", 7.0, MergeRule::kSame);
   return JsonValue::parse(json.render());
 }
@@ -83,22 +63,24 @@ std::string comparable(const JsonValue& doc) {
 }
 
 TEST(MergeShardDocsTest, OneTwoAndThreeWayMergesMatchTheUnshardedDoc) {
-  const JsonValue full = bench_doc(0, 1);
+  const JsonValue full = bench_doc({});
   for (const std::size_t n : {1u, 2u, 3u}) {
     std::vector<JsonValue> shards;
-    for (std::size_t k = 0; k < n; ++k) shards.push_back(bench_doc(k, n));
+    for (std::size_t k = 0; k < n; ++k) {
+      shards.push_back(bench_doc({k, k + 1, n}));
+    }
     const JsonValue merged = merge_shard_docs(shards);
     EXPECT_EQ(comparable(merged), comparable(full))
         << "merge of " << n << " shards diverged";
-    EXPECT_EQ(merged.at("shard").as_string(), "0/1");
+    EXPECT_EQ(merged.at("shard").as_string(), "0..1048576/1048576");
   }
 }
 
 TEST(MergeShardDocsTest, ShardInputOrderDoesNotMatter) {
-  const JsonValue full = bench_doc(0, 1);
+  const JsonValue full = bench_doc({});
   std::vector<JsonValue> shards;
   for (const std::size_t k : {2u, 0u, 1u}) {
-    shards.push_back(bench_doc(k, 3));
+    shards.push_back(bench_doc({k, k + 1, 3}));
   }
   EXPECT_EQ(comparable(merge_shard_docs(shards)), comparable(full));
 }
@@ -107,9 +89,11 @@ TEST(MergeShardDocsTest, EmptyShardsMergeCleanly) {
   // 6 cells over 8 shards: several shards run zero cells, yet their
   // sections must carry the same keys and the merge must still equal
   // the unsharded run.
-  const JsonValue full = bench_doc(0, 1);
+  const JsonValue full = bench_doc({});
   std::vector<JsonValue> shards;
-  for (std::size_t k = 0; k < 8; ++k) shards.push_back(bench_doc(k, 8));
+  for (std::size_t k = 0; k < 8; ++k) {
+    shards.push_back(bench_doc({k, k + 1, 8}));
+  }
   EXPECT_EQ(comparable(merge_shard_docs(shards)), comparable(full));
 }
 
@@ -118,9 +102,11 @@ TEST(MergeShardDocsTest, CiKeysAreRecomputedFromTheUnionRows) {
   // merge must recompute them from the union (matching the unsharded
   // values bitwise), never sum them like plain annotations or drop
   // them like timing keys.
-  const JsonValue full = bench_doc(0, 1);
+  const JsonValue full = bench_doc({});
   std::vector<JsonValue> shards;
-  for (std::size_t k = 0; k < 3; ++k) shards.push_back(bench_doc(k, 3));
+  for (std::size_t k = 0; k < 3; ++k) {
+    shards.push_back(bench_doc({k, k + 1, 3}));
+  }
   const JsonValue merged = merge_shard_docs(shards);
   const JsonValue& got = merged.at("sections").items().at(0);
   const JsonValue& want = full.at("sections").items().at(0);
@@ -157,34 +143,35 @@ TEST(MergeShardDocsTest, CiKeysAreRecomputedFromTheUnionRows) {
 
 TEST(MergeShardDocsTest, MissingShardIsAnErrorNotASilentDrop) {
   std::vector<JsonValue> shards;
-  shards.push_back(bench_doc(0, 3));
-  shards.push_back(bench_doc(2, 3));  // shard 1/3 never arrives
+  shards.push_back(bench_doc({0, 1, 3}));
+  shards.push_back(bench_doc({2, 3, 3}));  // 1/3 never arrives: a gap
   EXPECT_THROW(merge_shard_docs(shards), MergeError);
 }
 
 TEST(MergeShardDocsTest, DuplicateShardIsAnError) {
+  // Two documents covering the same lease overlap.
   std::vector<JsonValue> shards;
-  shards.push_back(bench_doc(0, 2));
-  shards.push_back(bench_doc(0, 2));
+  shards.push_back(bench_doc({0, 1, 2}));
+  shards.push_back(bench_doc({0, 1, 2}));
   EXPECT_THROW(merge_shard_docs(shards), MergeError);
 }
 
 TEST(MergeShardDocsTest, DivergingConfigIsAnError) {
-  JsonValue a = bench_doc(0, 2);
-  const JsonValue b = bench_doc(1, 2);
+  JsonValue a = bench_doc({0, 1, 2});
+  const JsonValue b = bench_doc({1, 2, 2});
   a.set("bench", JsonValue::of("other_bench"));
   EXPECT_THROW(merge_shard_docs({a, b}), MergeError);
 }
 
 TEST(MergeShardDocsTest, DisagreeingInvariantKeyIsAnError) {
   const std::string shard0 =
-      R"({"bench": "b", "threads": 1, "repeat": 1, "shard": "0/2",
+      R"({"bench": "b", "threads": 1, "repeat": 1, "shard": "0..1/2",
           "sections": [{"name": "s", "cells": 1, "wall_seconds": 0,
                         "runs_per_sec": 0, "same_keys": ["inv"],
                         "inv": 7}],
           "total_cells": 1, "total_wall_seconds": 0, "runs_per_sec": 0})";
   const std::string shard1 =
-      R"({"bench": "b", "threads": 1, "repeat": 1, "shard": "1/2",
+      R"({"bench": "b", "threads": 1, "repeat": 1, "shard": "1..2/2",
           "sections": [{"name": "s", "cells": 1, "wall_seconds": 0,
                         "runs_per_sec": 0, "same_keys": ["inv"],
                         "inv": 8}],
@@ -207,10 +194,14 @@ TEST(MergeShardDocsTest, EmptyInputIsAnError) {
 
 TEST(MergeShardDocsTest, MalformedShardFieldIsAnError) {
   // stoul-style parsing would read "1e1" as 1 and defeat the
-  // missing/duplicate-shard detection.
-  const JsonValue b = bench_doc(1, 2);
-  for (const char* bad : {"1e1/2", "0 /2", "+0/2", "0/2x", "/2", "0/"}) {
-    JsonValue a = bench_doc(0, 2);
+  // gap/overlap detection. A bare "K/N" is not a lease either:
+  // --shard=K/N workers write "K..K+1/N". An index past the span is
+  // out of range.
+  const JsonValue b = bench_doc({1, 2, 2});
+  for (const char* bad : {"0/2", "1e1..1/2", "0 ..1/2", "+0..1/2",
+                          "0..1/2x", "..1/2", "0../2", "0..1/",
+                          "0..3/2"}) {
+    JsonValue a = bench_doc({0, 1, 2});
     a.set("shard", JsonValue::of(bad));
     EXPECT_THROW(merge_shard_docs({a, b}), MergeError) << bad;
   }
@@ -219,40 +210,29 @@ TEST(MergeShardDocsTest, MalformedShardFieldIsAnError) {
 TEST(MergeShardDocsTest, LeaseDocsMergeBitIdenticalToTheUnshardedDoc) {
   // Any set of lease documents whose ranges tile the virtual span —
   // any count, uneven widths, shuffled completion order — merges to
-  // the unsharded document, and to the same document the static K/N
-  // merge produces.
-  const JsonValue full = bench_doc(0, 1);
+  // the unsharded document.
+  const JsonValue full = bench_doc({});
   const std::size_t span = ShardSpec::kLeaseSpan;
 
   // A single whole-span lease is the unsharded run.
-  EXPECT_EQ(comparable(merge_shard_docs({bench_lease_doc(0, span)})),
+  EXPECT_EQ(comparable(merge_shard_docs({bench_doc({0, span, span})})),
             comparable(full));
 
   // An uneven three-way tiling, given out of order (as an elastic run
   // with resharding would produce).
   std::vector<JsonValue> leases;
-  leases.push_back(bench_lease_doc(700'000, span));
-  leases.push_back(bench_lease_doc(0, 100'000));
-  leases.push_back(bench_lease_doc(100'000, 700'000));
+  leases.push_back(bench_doc({700'000, span, span}));
+  leases.push_back(bench_doc({0, 100'000, span}));
+  leases.push_back(bench_doc({100'000, 700'000, span}));
   const JsonValue merged = merge_shard_docs(leases);
   EXPECT_EQ(comparable(merged), comparable(full));
-  EXPECT_EQ(merged.at("shard").as_string(), "0/1");
-
-  // --shard=K/N is exactly lease {K, K+1, N}.
-  std::vector<JsonValue> as_leases;
-  std::vector<JsonValue> as_shards;
-  for (std::size_t k = 0; k < 3; ++k) {
-    as_leases.push_back(bench_lease_doc(k, k + 1, 3));
-    as_shards.push_back(bench_doc(k, 3));
-  }
-  EXPECT_EQ(comparable(merge_shard_docs(as_leases)),
-            comparable(merge_shard_docs(as_shards)));
+  EXPECT_EQ(merged.at("shard").as_string(), full.at("shard").as_string());
 }
 
 TEST(MergeShardDocsTest, LeaseTilingViolationsAreErrors) {
   const std::size_t span = ShardSpec::kLeaseSpan;
-  auto lease = [](std::size_t lo, std::size_t hi) {
-    return bench_lease_doc(lo, hi);
+  auto lease = [span](std::size_t lo, std::size_t hi) {
+    return bench_doc({lo, hi, span});
   };
   // A gap means a lost lease...
   EXPECT_THROW(merge_shard_docs({lease(0, 1'000), lease(2'000, span)}),
@@ -265,19 +245,18 @@ TEST(MergeShardDocsTest, LeaseTilingViolationsAreErrors) {
   EXPECT_THROW(merge_shard_docs({lease(0, 1'000)}), MergeError);
   EXPECT_THROW(merge_shard_docs({lease(1'000, span)}), MergeError);
   // Documents must agree on the span.
-  EXPECT_THROW(merge_shard_docs({bench_lease_doc(0, 512, 1'024),
-                                 bench_lease_doc(512, 2'048, 2'048)}),
+  EXPECT_THROW(merge_shard_docs({bench_doc({0, 512, 1'024}),
+                                 bench_doc({512, 2'048, 2'048})}),
+               MergeError);
+  // A --shard=K/N document is a lease of span N, so it cannot tile
+  // together with default-span leases.
+  EXPECT_THROW(merge_shard_docs({bench_doc({0, 1, 2}),
+                                 lease(span / 2, span)}),
                MergeError);
   // An empty lease range is malformed, not a harmless no-op.
   EXPECT_THROW(
-      merge_shard_docs({bench_lease_doc(0, 5), bench_lease_doc(5, 5),
-                        bench_lease_doc(5, span)}),
+      merge_shard_docs({lease(0, 5), lease(5, 5), lease(5, span)}),
       MergeError);
-  // Lease and static documents never mix, in either order.
-  EXPECT_THROW(merge_shard_docs({lease(0, span), bench_doc(0, 2)}),
-               MergeError);
-  EXPECT_THROW(merge_shard_docs({bench_doc(0, 2), lease(0, span)}),
-               MergeError);
 }
 
 TEST(JsonSinkContractTest, EveryRenderedDocumentParsesStrictly) {
@@ -309,7 +288,7 @@ TEST(JsonSinkContractTest, EmptyShardGridSectionsKeepThePercentileKeys) {
   RunnerOptions options;
   options.name = "empty_shard";
   options.threads = 1;
-  options.shard = {6, 8};
+  options.shard = {6, 7, 8};
   ExperimentRunner runner(options);
   JsonSink json = runner.json_sink();
   SweepGrid grid;
@@ -332,8 +311,35 @@ TEST(JsonSinkContractTest, EmptyShardGridSectionsKeepThePercentileKeys) {
     EXPECT_TRUE(section.at(key).is_null()) << key;
   }
   EXPECT_EQ(section.at("rows").items().size(), 0u);
-  EXPECT_EQ(section.at("point_stats").items().size(), 0u);
   EXPECT_EQ(section.at("repeat_factor").as_int(), 1);
+  EXPECT_EQ(section.find("point_stats"), nullptr);  // repeat 1
+}
+
+TEST(JsonSinkContractTest, PointStatsAreOmittedAtRepeatOneOnRenderAndMerge) {
+  // At repeat_factor 1 every grid point is one row, so point_stats
+  // would only restate the rows: neither the rendered nor the merged
+  // document carries it. At repeat_factor 3 both do, identically.
+  for (const int repeats : {1, 3}) {
+    SweepGrid grid = small_grid();
+    grid.repeats(repeats);
+    const JsonValue full = bench_doc({}, grid);
+    const JsonValue merged = merge_shard_docs(
+        {bench_doc({0, 1, 2}, grid), bench_doc({1, 2, 2}, grid)});
+    EXPECT_EQ(comparable(merged), comparable(full)) << repeats;
+    const JsonValue& rendered = full.at("sections").items().at(0);
+    const JsonValue& recombined = merged.at("sections").items().at(0);
+    EXPECT_EQ(rendered.at("repeat_factor").as_int(), repeats);
+    if (repeats == 1) {
+      EXPECT_EQ(rendered.find("point_stats"), nullptr);
+      EXPECT_EQ(recombined.find("point_stats"), nullptr);
+    } else {
+      ASSERT_NE(rendered.find("point_stats"), nullptr);
+      ASSERT_NE(recombined.find("point_stats"), nullptr);
+      EXPECT_EQ(rendered.at("point_stats").items().size(), 2u);
+      EXPECT_EQ(recombined.at("point_stats").dump(),
+                rendered.at("point_stats").dump());
+    }
+  }
 }
 
 TEST(TimingKeyTest, TheRuleMatchesTheDocumentedKeys) {

@@ -30,8 +30,11 @@ TEST(SweepCliTest, ParsesAndStripsTheSharedFlags) {
              "--json=out.json"});
   EXPECT_EQ(options.threads, 4);
   EXPECT_EQ(options.repeat, 3);
-  EXPECT_EQ(options.shard.k, 1u);
-  EXPECT_EQ(options.shard.n, 3u);
+  // --shard=K/N is shorthand for the lease {K, K+1, N}.
+  EXPECT_EQ(options.shard.lo, 1u);
+  EXPECT_EQ(options.shard.hi, 2u);
+  EXPECT_EQ(options.shard.span, 3u);
+  EXPECT_EQ(options.shard.to_string(), "1..2/3");
   EXPECT_EQ(options.grain, 16u);
   EXPECT_TRUE(options.json);
   EXPECT_EQ(options.json_path, "out.json");
@@ -86,7 +89,6 @@ TEST(SweepCliTest, ShardFlagValidatesItsShape) {
 TEST(SweepCliTest, CellsFlagParsesLeases) {
   // Bare LO..HI rides on the default virtual span.
   RunnerOptions options = parse({"--cells=1024..4096"});
-  EXPECT_TRUE(options.shard.leased);
   EXPECT_EQ(options.shard.lo, 1024u);
   EXPECT_EQ(options.shard.hi, 4096u);
   EXPECT_EQ(options.shard.span, ShardSpec::kLeaseSpan);
@@ -94,7 +96,6 @@ TEST(SweepCliTest, CellsFlagParsesLeases) {
   EXPECT_FALSE(options.shard.whole());
   // An explicit span travels after the slash.
   options = parse({"--cells=2..6/8"});
-  EXPECT_TRUE(options.shard.leased);
   EXPECT_EQ(options.shard.lo, 2u);
   EXPECT_EQ(options.shard.hi, 6u);
   EXPECT_EQ(options.shard.span, 8u);
@@ -103,8 +104,10 @@ TEST(SweepCliTest, CellsFlagParsesLeases) {
   const auto [begin, end] = options.shard.range(10);
   EXPECT_EQ(begin, 2u);
   EXPECT_EQ(end, 7u);
-  // The whole span is the unsharded run.
+  // The whole span is the unsharded run, as is giving no flag at all.
   EXPECT_TRUE(parse({"--cells=0..8/8"}).shard.whole());
+  EXPECT_TRUE(parse({}).shard.whole());
+  EXPECT_EQ(parse({}).shard.to_string(), "0..1048576/1048576");
 }
 
 TEST(SweepCliTest, CellsFlagValidatesItsShape) {

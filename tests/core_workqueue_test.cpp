@@ -260,7 +260,9 @@ TEST(WorkQueueTest, LeaseShardMatchesTheCellsFlagSemantics) {
   lease.lo = 16;
   lease.hi = 32;
   const ShardSpec spec = lease.shard(64);
-  EXPECT_TRUE(spec.leased);
+  EXPECT_EQ(spec.lo, 16u);
+  EXPECT_EQ(spec.hi, 32u);
+  EXPECT_EQ(spec.span, 64u);
   EXPECT_EQ(spec.to_string(), "16..32/64");
   // [total*lo/span, total*hi/span) of a 128-cell space.
   const auto [begin, end] = spec.range(128);

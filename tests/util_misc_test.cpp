@@ -125,6 +125,51 @@ TEST(SummaryTest, EmptyThrows) {
   EXPECT_THROW(s.percentile(50), ContractViolation);
 }
 
+TEST(ConfidenceIntervalTest, MeanHalfwidthKnownAnswers) {
+  // {1, 3}: df = 1, mean 2, sample sd sqrt(2), so the half-width is
+  // t_{0.975,1} * sqrt(2) / sqrt(2) = 12.706 exactly.
+  Summary pair;
+  pair.add(1.0);
+  pair.add(3.0);
+  EXPECT_NEAR(ci95_halfwidth(pair), 12.706, 1e-12);
+
+  // One sample carries no dispersion information.
+  Summary one;
+  one.add(7.0);
+  EXPECT_EQ(ci95_halfwidth(one), 0.0);
+
+  // 16 zeros and 16 twos: mean 1, sum of squared deviations 32, so the
+  // n-1 sample sd is sqrt(32/31). df = 31 leaves the t table for the
+  // normal quantile 1.96; at df = 30 the table's last entry applies.
+  Summary wide;
+  for (int i = 0; i < 16; ++i) {
+    wide.add(0.0);
+    wide.add(2.0);
+  }
+  EXPECT_NEAR(ci95_halfwidth(wide),
+              1.96 * std::sqrt(32.0 / 31.0) / std::sqrt(32.0), 1e-12);
+  Summary df30;  // 15 zeros and 16 twos: mean 32/31
+  for (int i = 0; i < 15; ++i) df30.add(0.0);
+  for (int i = 0; i < 16; ++i) df30.add(2.0);
+  const double m = 32.0 / 31.0;
+  const double sample_sd =
+      std::sqrt((15 * m * m + 16 * (2 - m) * (2 - m)) / 30.0);
+  EXPECT_NEAR(ci95_halfwidth(df30),
+              2.042 * sample_sd / std::sqrt(31.0), 1e-12);
+}
+
+TEST(ConfidenceIntervalTest, ProportionHalfwidthKnownAnswers) {
+  // 1.96 * sqrt(0.5 * 0.5 / 100) = 1.96 * 0.05.
+  EXPECT_NEAR(ci95_proportion_halfwidth(0.5, 100), 0.098, 1e-12);
+  // The Wald form collapses to a zero-width interval at rate 1 (and
+  // 0), however few trials back it: the known weakness a Wilson
+  // interval would fix.
+  EXPECT_EQ(ci95_proportion_halfwidth(1.0, 3), 0.0);
+  EXPECT_EQ(ci95_proportion_halfwidth(1.0, 1000), 0.0);
+  EXPECT_EQ(ci95_proportion_halfwidth(0.0, 3), 0.0);
+  EXPECT_THROW(ci95_proportion_halfwidth(0.5, 0), ContractViolation);
+}
+
 TEST(TextTableTest, RendersAlignedRows) {
   TextTable t({"name", "value"});
   t.row().cell("alpha").cell(42);
